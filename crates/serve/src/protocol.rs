@@ -47,8 +47,19 @@ pub const BUSY: &str = "BUSY";
 ///
 /// # Errors
 ///
-/// Propagates any I/O error from the underlying stream.
+/// Returns [`io::ErrorKind::InvalidInput`], writing nothing, for a body
+/// over [`MAX_FRAME`] bytes (the peer's reader would reject it), and
+/// propagates any I/O error from the underlying stream.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+    if body.len() > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame of {} bytes exceeds the {MAX_FRAME}-byte limit",
+                body.len()
+            ),
+        ));
+    }
     w.write_all(format!("{}\n", body.len()).as_bytes())?;
     w.write_all(body)?;
     w.flush()
@@ -296,6 +307,19 @@ mod tests {
         let huge = format!("{}\n", MAX_FRAME + 1);
         let mut reader = FrameReader::new(huge.as_bytes());
         assert!(reader.read_frame().is_err(), "oversized frame");
+    }
+
+    #[test]
+    fn oversized_bodies_are_refused_before_writing() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &vec![b'x'; MAX_FRAME]).unwrap();
+        let mut reader = FrameReader::new(&wire[..]);
+        assert_eq!(reader.read_frame().unwrap().unwrap().len(), MAX_FRAME);
+
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, &vec![b'x'; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(wire.is_empty(), "nothing may reach the stream");
     }
 
     #[test]

@@ -40,7 +40,7 @@ use ena_sweep::{
     Failpoint, SyncPolicy, Vfs,
 };
 
-use crate::protocol::{write_frame, FrameReader, Request, BUSY};
+use crate::protocol::{write_frame, FrameReader, Request, BUSY, MAX_FRAME};
 use crate::store::{Claim, ShardStore};
 
 /// Anything a handler can serve: a TCP stream, or an in-process pipe
@@ -673,7 +673,9 @@ impl Server {
     }
 
     /// Serves `FRONTIER`: the Pareto frontier over every record the
-    /// store holds, in the store's deterministic key order.
+    /// store holds, in the store's deterministic key order. A frontier
+    /// too long for one frame lists only the leading entries that fit,
+    /// and says so with ` shown=<k>` after `n=<total>`.
     fn respond_frontier(&self) -> String {
         let records: Vec<PointRecord> = self
             .store
@@ -682,22 +684,38 @@ impl Server {
             .map(|(_, record)| (*record).clone())
             .collect();
         let frontier = pareto_frontier(&self.explorer, &records, self.profiles.len());
-        let mut body = format!("OK frontier n={}", frontier.len());
-        for fp in &frontier {
-            use std::fmt::Write as _;
-            // fmt::Write to a String is infallible; discard the Ok.
-            let _ = write!(
-                body,
-                "\n{} {} {} score={:.6} peak_w={:.3} peak_c={:.3}",
-                fp.point.cus,
-                fp.point.clock.value(),
-                fp.point.bandwidth.value(),
-                fp.score,
-                fp.peak_power_w,
-                fp.peak_dram_c,
-            );
+        let lines: Vec<String> = frontier
+            .iter()
+            .map(|fp| {
+                format!(
+                    "\n{} {} {} score={:.6} peak_w={:.3} peak_c={:.3}",
+                    fp.point.cus,
+                    fp.point.clock.value(),
+                    fp.point.bandwidth.value(),
+                    fp.score,
+                    fp.peak_power_w,
+                    fp.peak_dram_c,
+                )
+            })
+            .collect();
+        let n = lines.len();
+        let mut header = format!("OK frontier n={n}");
+        let mut shown = n;
+        if header.len() + lines.iter().map(String::len).sum::<usize>() > MAX_FRAME {
+            // `shown <= n`, so this header is at least as long as the
+            // one finally sent.
+            let mut room = MAX_FRAME - format!("{header} shown={n}").len();
+            shown = 0;
+            for line in &lines {
+                if line.len() > room {
+                    break;
+                }
+                room -= line.len();
+                shown += 1;
+            }
+            header = format!("{header} shown={shown}");
         }
-        body
+        header + &lines[..shown].concat()
     }
 
     /// Renders the counters as stable text (no wall-clock, no

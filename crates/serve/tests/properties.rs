@@ -262,3 +262,78 @@ fn malformed_requests_get_err_and_the_connection_survives() {
     });
     assert_eq!(server.counters().protocol_errors.load(Ordering::Relaxed), 1);
 }
+
+#[test]
+fn an_oversized_frontier_is_cut_to_fit_one_frame() {
+    use ena_core::dse::{ConfigPoint, PointEval, PointRecord};
+    use ena_model::units::{GigabytesPerSec, Megahertz};
+    use ena_serve::{Claim, MAX_FRAME};
+
+    let profiles = vec![profile_for("CoMD").expect("CoMD is a paper app")];
+    let (server, _) =
+        Server::new(ServeConfig::new(Explorer::default(), profiles)).expect("memory store");
+    // Record `i` buys throughput with power, so no record dominates
+    // another and every one of them is on the frontier.
+    let seed = |keys: std::ops::Range<u64>| {
+        for i in keys {
+            let Claim::Leader(token) = server.store().claim(i) else {
+                panic!("key {i} is fresh");
+            };
+            let record = PointRecord {
+                point: ConfigPoint {
+                    cus: 1000 + i as u32,
+                    clock: Megahertz::new(1000.0),
+                    bandwidth: GigabytesPerSec::new(3000.0),
+                },
+                evals: vec![PointEval {
+                    throughput: 1.0 + i as f64,
+                    package_power: 1.0 + 0.01 * i as f64,
+                    peak_dram_c: 70.0,
+                }],
+            };
+            server
+                .store()
+                .publish(token, record)
+                .expect("memory publish");
+        }
+    };
+    let (client_end, server_end) = pair();
+    let (small, large) = std::thread::scope(|s| {
+        let server = &server;
+        s.spawn(move || server.handle(server_end));
+        let mut client = Client::new(client_end);
+        seed(0..3);
+        let small = client.request("FRONTIER").expect("small frontier");
+        seed(3..2000);
+        let large = client
+            .request("FRONTIER")
+            .expect("oversized frontier must still be one frame");
+        (small, large)
+    });
+
+    // A frontier that fits is listed whole, with no `shown=`.
+    let mut lines = small.lines();
+    assert_eq!(lines.next(), Some("OK frontier n=3"), "{small}");
+    assert_eq!(lines.count(), 3);
+
+    // One that does not lists the leading entries that fit, and says so.
+    assert!(large.len() <= MAX_FRAME);
+    let mut lines = large.lines();
+    let header = lines.next().expect("header");
+    let shown: usize = header
+        .strip_prefix("OK frontier n=2000 shown=")
+        .unwrap_or_else(|| panic!("unexpected header {header:?}"))
+        .parse()
+        .expect("shown count");
+    assert!(shown > 0 && shown < 2000, "shown = {shown}");
+    let cus: Vec<u32> = lines
+        .map(|l| l.split(' ').next().unwrap().parse().unwrap())
+        .collect();
+    let expected: Vec<u32> = (1000..1000 + shown as u32).collect();
+    assert_eq!(cus, expected, "entries in key order, first {shown}");
+    assert!(
+        MAX_FRAME - large.len() < 64,
+        "cut leaves {} bytes unused",
+        MAX_FRAME - large.len()
+    );
+}
