@@ -16,6 +16,10 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> perfbench: the benchmark builds and passes its tests against the public API"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> example smoke runs"
 cargo run --release --example resilient_reconfiguration
 cargo run --release --example fault_campaign

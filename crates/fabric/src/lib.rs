@@ -65,8 +65,8 @@ pub use collective::{
 pub use recovery::{RecoveryEstimate, RecoveryModel, DALY_TOLERANCE, RECOVERY_CAMPAIGN_HOURS};
 pub use scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec, SMALL_N_TOLERANCE};
 pub use sweep::{
-    MultiNodeOutcome, MultiNodePoint, MultiNodeRecord, MultiNodeSpace, MultiNodeSweep,
-    MultiNodeSweepError, MultiNodeSweepSpec, RecoveryPoint, RecoveryRecord, RecoverySpace,
-    RecoverySweep, RecoverySweepOutcome, RecoverySweepSpec,
+    FabricSweep, FabricSweepOutcome, MultiNodePoint, MultiNodeRecord, MultiNodeSpace,
+    MultiNodeSweep, MultiNodeSweepSpec, RecoveryPoint, RecoveryRecord, RecoverySpace,
+    RecoverySweep, RecoverySweepSpec,
 };
 pub use topology::{FabricError, FabricGraph, FabricKind, FabricLink, FabricNodeKind};

@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 use ena_core::node::{EvalOptions, NodeSimulator};
 use ena_core::system::SystemProjection;
 use ena_model::config::EhpConfig;
+use ena_model::hash::{StableHash, StableHasher};
 use ena_workloads::profile_for;
 
 use crate::collective::{schedule, CollectiveKind};
@@ -77,6 +78,17 @@ impl ScaleOutSpec {
     /// domain of `V` bytes has faces of order `V^(2/3)`.
     pub fn halo_bytes(&self) -> f64 {
         self.payload_bytes.max(0.0).powf(2.0 / 3.0)
+    }
+}
+
+/// Every field shapes an estimate, so every field is hashed: fabric
+/// sweeps fold this digest into their cache campaign keys.
+impl StableHash for ScaleOutSpec {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        h.write_str(&self.workload);
+        self.base.stable_hash(h);
+        h.write_f64(self.payload_bytes);
+        h.write_f64(self.reduce_bytes);
     }
 }
 

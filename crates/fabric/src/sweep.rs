@@ -1,29 +1,32 @@
-//! (node count x topology) as a sweep axis through the `ena-sweep`
-//! machinery.
+//! Fabric design spaces swept through the `ena-sweep` campaign driver.
 //!
-//! A [`MultiNodeSweep`] evaluates every [`MultiNodePoint`] of a
-//! [`MultiNodeSpace`] — a healthy-fleet scale-out estimate per point —
-//! on the same work-stealing pool, with the same memoization (in-memory
-//! plus the generic [`DiskCache`]) and the same determinism contract as
-//! the node-level engine: the outcome is byte-identical to the
-//! sequential oracle for any job count, cache temperature, or
-//! interruption history. The Pareto frontier (maximize exaflops and
-//! efficiency, minimize power) comes from the shared
-//! [`frontier_indices`] kernel.
+//! [`MultiNodeSweep`] evaluates every [`MultiNodePoint`] of a
+//! [`MultiNodeSpace`] (node count x topology), a healthy-fleet
+//! scale-out estimate per point. [`RecoverySweep`] runs the second
+//! fabric axis, (checkpoint-interval x nodes): each point is a
+//! Young/Daly analytic-vs-simulated recovery assessment at an interval
+//! scaled away from Daly's optimum, scoring recovered
+//! (efficiency-weighted) fleet throughput.
 //!
-//! [`RecoverySweep`] runs the second fabric axis the same way:
-//! (checkpoint-interval x nodes), each point a Young/Daly
-//! analytic-vs-simulated recovery assessment at an interval scaled away
-//! from Daly's optimum, scoring recovered (efficiency-weighted) fleet
-//! throughput.
+//! Both are a [`FabricSweep`]: a thin caller of the same
+//! [`Memo`] driver the node-level engine runs, supplying its points,
+//! campaign digest, key function and evaluation kernel. They therefore
+//! share its memoization (in-memory plus the generic disk cache), its
+//! supervised pool (a panicking chunk is retried, then quarantined and
+//! reported in [`FabricSweepOutcome::quarantine`]) and its determinism
+//! contract: a quarantine-free outcome is byte-identical to the
+//! sequential oracle for any job count or cache temperature. The Pareto
+//! frontier comes from the shared [`frontier_indices`] kernel over each
+//! record's `dominates`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ena_model::hash::{StableHash, StableHasher, MODEL_VERSION};
-use ena_sweep::cache::CacheError;
-use ena_sweep::pool::{map_chunks, PoolError};
-use ena_sweep::{frontier_indices, CacheMode, CacheRecord, DiskCache, RealFs, SyncPolicy, Vfs};
+use ena_model::hash::{digest, StableHash, StableHasher};
+use ena_sweep::{
+    frontier_indices, CacheMode, CacheRecord, Failpoint, Memo, QuarantineReport, RealFs,
+    RetryPolicy, RunSpec, SweepError, SyncPolicy, Vfs,
+};
 
 use crate::recovery::RecoveryModel;
 use crate::scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec};
@@ -80,11 +83,6 @@ impl MultiNodeSpace {
             }
         }
         out
-    }
-
-    /// True when the grid has no points.
-    pub fn is_empty(&self) -> bool {
-        self.node_counts.is_empty() || self.kinds.is_empty()
     }
 }
 
@@ -192,14 +190,17 @@ impl MultiNodeSweepSpec {
     }
 }
 
-/// Everything a completed multi-node sweep produced.
+/// Everything a completed fabric sweep produced.
 #[derive(Clone, Debug)]
-pub struct MultiNodeOutcome {
-    /// Every record, in grid point order.
-    pub records: Vec<MultiNodeRecord>,
-    /// Indices into `records` on the Pareto frontier (exaflops up,
-    /// efficiency up, power down), in grid order.
+pub struct FabricSweepOutcome<R> {
+    /// Every record, in grid point order. Quarantined points are absent
+    /// (and listed in `quarantine`).
+    pub records: Vec<R>,
+    /// Indices into `records` on the Pareto frontier, in grid order.
     pub frontier: Vec<usize>,
+    /// Chunks the supervisor quarantined after exhausting retries.
+    /// Empty on a healthy run.
+    pub quarantine: QuarantineReport,
     /// Points answered from the memoization cache.
     pub cache_hits: usize,
     /// Points evaluated fresh this run.
@@ -208,7 +209,7 @@ pub struct MultiNodeOutcome {
     pub total_points: usize,
 }
 
-impl MultiNodeOutcome {
+impl<R> FabricSweepOutcome<R> {
     /// Fraction of points served by the cache.
     pub fn hit_rate(&self) -> f64 {
         if self.total_points == 0 {
@@ -219,220 +220,111 @@ impl MultiNodeOutcome {
     }
 }
 
-/// Multi-node sweep failure modes.
+/// A memoizing fabric sweep engine over records of type `R`; see
+/// [`MultiNodeSweep`] and [`RecoverySweep`].
 #[derive(Debug)]
-pub enum MultiNodeSweepError {
-    /// The grid has no points.
-    EmptySpace,
-    /// A point failed to evaluate.
-    Fabric(FabricError),
-    /// The persistent cache failed.
-    Cache(CacheError),
-    /// The worker pool lost chunks before completing the sweep.
-    Pool(PoolError),
-    /// A point's record vanished between evaluation and merge.
-    MissingRecord {
-        /// The memoization key with no record.
-        key: u64,
-    },
+pub struct FabricSweep<R> {
+    memo: Memo<R>,
 }
 
-impl std::fmt::Display for MultiNodeSweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::EmptySpace => write!(f, "empty multi-node grid"),
-            Self::Fabric(e) => write!(f, "multi-node sweep point: {e}"),
-            Self::Cache(e) => write!(f, "multi-node sweep cache: {e}"),
-            Self::Pool(e) => write!(f, "multi-node sweep pool: {e}"),
-            Self::MissingRecord { key } => {
-                write!(f, "no record for multi-node key {key:#018x} at merge time")
-            }
+impl<R> Default for FabricSweep<R> {
+    fn default() -> Self {
+        Self {
+            memo: Memo::default(),
         }
     }
 }
 
-impl std::error::Error for MultiNodeSweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Fabric(e) => Some(e),
-            Self::Cache(e) => Some(e),
-            Self::Pool(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<FabricError> for MultiNodeSweepError {
-    fn from(e: FabricError) -> Self {
-        Self::Fabric(e)
-    }
-}
-
-impl From<CacheError> for MultiNodeSweepError {
-    fn from(e: CacheError) -> Self {
-        Self::Cache(e)
-    }
-}
-
-impl From<PoolError> for MultiNodeSweepError {
-    fn from(e: PoolError) -> Self {
-        Self::Pool(e)
-    }
-}
-
-/// The memoizing multi-node sweep engine.
-#[derive(Debug, Default)]
-pub struct MultiNodeSweep {
-    version: String,
-    memo: BTreeMap<u64, MultiNodeRecord>,
-}
-
-impl MultiNodeSweep {
+impl<R: CacheRecord + Send> FabricSweep<R> {
     /// An engine stamped with the current
     /// [`MODEL_VERSION`](ena_model::hash::MODEL_VERSION).
     pub fn new() -> Self {
-        Self {
-            version: MODEL_VERSION.to_string(),
-            memo: BTreeMap::new(),
-        }
+        Self::default()
     }
 
     /// Overrides the model-version stamp (test hook for the eviction
     /// path; production code keeps the default).
-    pub fn with_version(mut self, version: impl Into<String>) -> Self {
-        self.version = version.into();
-        self.memo.clear();
-        self
+    pub fn with_version(self, version: impl Into<String>) -> Self {
+        Self {
+            memo: self.memo.with_version(version),
+        }
     }
 
-    /// Digest of everything besides the grid coordinates that determines
-    /// an evaluation: the workload, the node hardware, and the payloads.
-    fn campaign_digest(scaleout: &ScaleOutSpec) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str(&scaleout.workload);
-        scaleout.base.stable_hash(&mut h);
-        h.write_f64(scaleout.payload_bytes);
-        h.write_f64(scaleout.reduce_bytes);
-        h.finish()
+    /// Installs a [`Failpoint`] invoked before every fresh evaluation
+    /// (chaos/test hook; production engines leave it unset).
+    pub fn with_failpoint(self, failpoint: Failpoint) -> Self {
+        Self {
+            memo: self.memo.with_failpoint(failpoint),
+        }
     }
 
-    fn point_key(campaign: u64, point: &MultiNodePoint) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(campaign);
-        point.stable_hash(&mut h);
-        h.finish()
+    /// Runs `points` through the driver, then extracts the frontier of
+    /// the survivors. Fabric specs carry no retry or fresh-limit knob:
+    /// their campaigns run to completion under the default retry policy.
+    fn sweep<P: StableHash + Clone + Send>(
+        &mut self,
+        run: &RunSpec<'_>,
+        campaign: u64,
+        points: &[P],
+        evaluate: impl Fn(&P) -> Result<R, FabricError> + Sync,
+        dominates: fn(&R, &R) -> bool,
+    ) -> Result<FabricSweepOutcome<R>, SweepError<FabricError>> {
+        let run = self.memo.run(run, campaign, points, point_key, evaluate)?;
+        Ok(FabricSweepOutcome {
+            frontier: frontier_indices(&run.records, dominates),
+            records: run.records,
+            quarantine: run.quarantine,
+            cache_hits: run.cache_hits,
+            fresh_evals: run.fresh_evals,
+            total_points: points.len(),
+        })
     }
+}
 
-    /// Evaluates one grid point: build the fabric, estimate the healthy
-    /// fleet.
-    fn evaluate_point(
-        point: MultiNodePoint,
-        scaleout: &ScaleOutSpec,
-    ) -> Result<MultiNodeRecord, FabricError> {
-        let graph = FabricGraph::build(point.kind, point.nodes)?;
-        let est = estimate(&graph, scaleout, &BTreeMap::new())?;
-        Ok(MultiNodeRecord::from_estimate(point, &est))
-    }
+/// Content address of one fabric point within a campaign.
+fn point_key<P: StableHash>(campaign: u64, point: &P) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_u64(campaign);
+    point.stable_hash(&mut h);
+    h.finish()
+}
 
-    /// Runs one sweep: resolves cache hits, evaluates the remainder on
-    /// the work-stealing pool, merges in grid order, and extracts the
-    /// frontier.
+/// The memoizing (node count x topology) sweep engine.
+pub type MultiNodeSweep = FabricSweep<MultiNodeRecord>;
+
+impl MultiNodeSweep {
+    /// Runs one sweep; every point builds its fabric and estimates the
+    /// healthy fleet. The campaign digest covers the workload, the node
+    /// hardware and the payloads.
     ///
     /// # Errors
     ///
-    /// [`MultiNodeSweepError::EmptySpace`] for a pointless grid,
-    /// [`MultiNodeSweepError::Fabric`] when a point fails to evaluate,
-    /// and the cache / pool infrastructure variants.
+    /// The driver's errors (see [`Memo::run`]), with
+    /// [`SweepError::Eval`] when a point fails to build or estimate.
     pub fn run(
         &mut self,
         spec: &MultiNodeSweepSpec,
-    ) -> Result<MultiNodeOutcome, MultiNodeSweepError> {
-        if spec.space.is_empty() {
-            return Err(MultiNodeSweepError::EmptySpace);
-        }
-        let campaign = Self::campaign_digest(&spec.scaleout);
-        let mut disk = match &spec.cache {
-            CacheMode::Memory => None,
-            CacheMode::Disk(dir) => {
-                let (cache, entries) = DiskCache::<MultiNodeRecord>::open_with(
-                    spec.fs.clone(),
-                    spec.sync,
-                    dir,
-                    campaign,
-                    &self.version,
-                )?;
-                for (key, record) in entries {
-                    self.memo.insert(key, record);
-                }
-                Some(cache)
-            }
-        };
-
-        let points = spec.space.points();
-        let keys: Vec<u64> = points
-            .iter()
-            .map(|p| Self::point_key(campaign, p))
-            .collect();
-        let fresh: Vec<(u64, MultiNodePoint)> = keys
-            .iter()
-            .zip(&points)
-            .filter(|(key, _)| !self.memo.contains_key(*key))
-            .map(|(key, point)| (*key, *point))
-            .collect();
-        let cache_hits = points.len() - fresh.len();
-        let fresh_evals = fresh.len();
-
-        let chunk_points = spec.chunk_points.max(1);
-        let chunks: Vec<Vec<(u64, MultiNodePoint)>> = fresh
-            .chunks(chunk_points)
-            .map(<[(u64, MultiNodePoint)]>::to_vec)
-            .collect();
-
+    ) -> Result<FabricSweepOutcome<MultiNodeRecord>, SweepError<FabricError>> {
         let scaleout = &spec.scaleout;
-        let mut io_error: Option<CacheError> = None;
-        let (chunk_results, _) = map_chunks(
-            spec.jobs,
-            chunks,
-            |(key, point)| (*key, Self::evaluate_point(*point, scaleout)),
-            |_, results: &[(u64, Result<MultiNodeRecord, FabricError>)]| {
-                if let Some(cache) = disk.as_mut() {
-                    if io_error.is_none() {
-                        for (key, result) in results {
-                            if let Ok(record) = result {
-                                if let Err(e) = cache.append(*key, record) {
-                                    io_error = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
+        self.sweep(
+            &RunSpec {
+                jobs: spec.jobs,
+                chunk_points: spec.chunk_points,
+                cache: &spec.cache,
+                fresh_limit: None,
+                fs: &spec.fs,
+                sync: spec.sync,
+                retry: RetryPolicy::default(),
             },
-        )?;
-        if let Some(e) = io_error {
-            return Err(MultiNodeSweepError::Cache(e));
-        }
-        for (key, result) in chunk_results.into_iter().flatten() {
-            self.memo.insert(key, result?);
-        }
-
-        // Merge in grid order: the only order the frontier ever sees.
-        let mut records = Vec::with_capacity(keys.len());
-        for key in &keys {
-            let Some(record) = self.memo.get(key) else {
-                return Err(MultiNodeSweepError::MissingRecord { key: *key });
-            };
-            records.push(record.clone());
-        }
-        let frontier = frontier_indices(&records, MultiNodeRecord::dominates);
-
-        Ok(MultiNodeOutcome {
-            records,
-            frontier,
-            cache_hits,
-            fresh_evals,
-            total_points: points.len(),
-        })
+            digest(scaleout),
+            &spec.space.points(),
+            |&point| {
+                let graph = FabricGraph::build(point.kind, point.nodes)?;
+                let est = estimate(&graph, scaleout, &BTreeMap::new())?;
+                Ok(MultiNodeRecord::from_estimate(point, &est))
+            },
+            MultiNodeRecord::dominates,
+        )
     }
 }
 
@@ -495,11 +387,6 @@ impl RecoverySpace {
             }
         }
         out
-    }
-
-    /// True when the grid has no points.
-    pub fn is_empty(&self) -> bool {
-        self.node_counts.is_empty() || self.interval_scales_pct.is_empty()
     }
 }
 
@@ -609,206 +496,69 @@ impl RecoverySweepSpec {
     }
 }
 
-/// Everything a completed recovery sweep produced.
-#[derive(Clone, Debug)]
-pub struct RecoverySweepOutcome {
-    /// Every record, in grid point order.
-    pub records: Vec<RecoveryRecord>,
-    /// Indices into `records` on the Pareto frontier (recovered
-    /// throughput up, simulated efficiency up), in grid order.
-    pub frontier: Vec<usize>,
-    /// Points answered from the memoization cache.
-    pub cache_hits: usize,
-    /// Points evaluated fresh this run.
-    pub fresh_evals: usize,
-    /// Points in the grid.
-    pub total_points: usize,
-}
-
-impl RecoverySweepOutcome {
-    /// Fraction of points served by the cache.
-    pub fn hit_rate(&self) -> f64 {
-        if self.total_points == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.total_points as f64
-        }
-    }
-}
-
-/// The memoizing (checkpoint-interval x nodes) sweep engine. Shares the
-/// determinism contract (and error type) of [`MultiNodeSweep`].
-#[derive(Debug, Default)]
-pub struct RecoverySweep {
-    version: String,
-    memo: BTreeMap<u64, RecoveryRecord>,
-}
+/// The memoizing (checkpoint-interval x nodes) sweep engine.
+pub type RecoverySweep = FabricSweep<RecoveryRecord>;
 
 impl RecoverySweep {
-    /// An engine stamped with the current
-    /// [`MODEL_VERSION`](ena_model::hash::MODEL_VERSION).
-    pub fn new() -> Self {
-        Self {
-            version: MODEL_VERSION.to_string(),
-            memo: BTreeMap::new(),
-        }
-    }
-
-    /// Overrides the model-version stamp (test hook for the eviction
-    /// path; production code keeps the default).
-    pub fn with_version(mut self, version: impl Into<String>) -> Self {
-        self.version = version.into();
-        self.memo.clear();
-        self
-    }
-
-    /// Digest of everything besides the grid coordinates that determines
-    /// an evaluation: workload, hardware, payloads, topology, recovery
-    /// parameters, and the Monte Carlo seed.
-    fn campaign_digest(spec: &RecoverySweepSpec) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str(&spec.scaleout.workload);
-        spec.scaleout.base.stable_hash(&mut h);
-        h.write_f64(spec.scaleout.payload_bytes);
-        h.write_f64(spec.scaleout.reduce_bytes);
-        spec.kind.stable_hash(&mut h);
-        spec.recovery.stable_hash(&mut h);
-        h.write_u64(spec.seed);
-        h.finish()
-    }
-
-    fn point_key(campaign: u64, point: &RecoveryPoint) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(campaign);
-        point.stable_hash(&mut h);
-        h.finish()
-    }
-
-    /// Evaluates one grid point: healthy fleet estimate at `nodes`, both
-    /// recovery legs at the scaled interval.
-    fn evaluate_point(
-        point: RecoveryPoint,
-        spec: &RecoverySweepSpec,
-    ) -> Result<RecoveryRecord, FabricError> {
-        let graph = FabricGraph::build(spec.kind, point.nodes)?;
-        let est = estimate(&graph, &spec.scaleout, &BTreeMap::new())?;
-        let interval_hours = spec.recovery.optimal_interval_hours(point.nodes)
-            * f64::from(point.interval_scale_pct)
-            / 100.0;
-        let analytic = spec
-            .recovery
-            .analytic_efficiency_at(point.nodes, interval_hours);
-        let simulated =
-            spec.recovery
-                .simulated_efficiency_at(point.nodes, interval_hours, spec.seed);
-        Ok(RecoveryRecord {
-            point,
-            interval_hours,
-            analytic,
-            simulated,
-            recovered_exaflops: est.exaflops * simulated,
-        })
-    }
-
-    /// Runs one sweep: resolves cache hits, evaluates the remainder on
-    /// the work-stealing pool, merges in grid order, and extracts the
-    /// frontier.
+    /// Runs one sweep; every point is a healthy fleet estimate at
+    /// `nodes` plus both recovery legs at the scaled interval. The
+    /// campaign digest covers the workload, hardware, payloads,
+    /// topology, recovery parameters and the Monte Carlo seed.
     ///
     /// # Errors
     ///
-    /// [`MultiNodeSweepError::EmptySpace`] for a pointless grid,
-    /// [`MultiNodeSweepError::Fabric`] when a point fails to evaluate,
-    /// and the cache / pool infrastructure variants.
+    /// The driver's errors (see [`Memo::run`]), with
+    /// [`SweepError::Eval`] when a point fails to build or estimate.
     pub fn run(
         &mut self,
         spec: &RecoverySweepSpec,
-    ) -> Result<RecoverySweepOutcome, MultiNodeSweepError> {
-        if spec.space.is_empty() {
-            return Err(MultiNodeSweepError::EmptySpace);
-        }
-        let campaign = Self::campaign_digest(spec);
-        let mut disk = match &spec.cache {
-            CacheMode::Memory => None,
-            CacheMode::Disk(dir) => {
-                let (cache, entries) = DiskCache::<RecoveryRecord>::open_with(
-                    spec.fs.clone(),
-                    spec.sync,
-                    dir,
-                    campaign,
-                    &self.version,
-                )?;
-                for (key, record) in entries {
-                    self.memo.insert(key, record);
-                }
-                Some(cache)
-            }
-        };
-
-        let points = spec.space.points();
-        let keys: Vec<u64> = points
-            .iter()
-            .map(|p| Self::point_key(campaign, p))
-            .collect();
-        let fresh: Vec<(u64, RecoveryPoint)> = keys
-            .iter()
-            .zip(&points)
-            .filter(|(key, _)| !self.memo.contains_key(*key))
-            .map(|(key, point)| (*key, *point))
-            .collect();
-        let cache_hits = points.len() - fresh.len();
-        let fresh_evals = fresh.len();
-
-        let chunk_points = spec.chunk_points.max(1);
-        let chunks: Vec<Vec<(u64, RecoveryPoint)>> = fresh
-            .chunks(chunk_points)
-            .map(<[(u64, RecoveryPoint)]>::to_vec)
-            .collect();
-
-        let mut io_error: Option<CacheError> = None;
-        let (chunk_results, _) = map_chunks(
-            spec.jobs,
-            chunks,
-            |(key, point)| (*key, Self::evaluate_point(*point, spec)),
-            |_, results: &[(u64, Result<RecoveryRecord, FabricError>)]| {
-                if let Some(cache) = disk.as_mut() {
-                    if io_error.is_none() {
-                        for (key, result) in results {
-                            if let Ok(record) = result {
-                                if let Err(e) = cache.append(*key, record) {
-                                    io_error = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
+    ) -> Result<FabricSweepOutcome<RecoveryRecord>, SweepError<FabricError>> {
+        let mut h = StableHasher::new();
+        spec.scaleout.stable_hash(&mut h);
+        spec.kind.stable_hash(&mut h);
+        spec.recovery.stable_hash(&mut h);
+        h.write_u64(spec.seed);
+        self.sweep(
+            &RunSpec {
+                jobs: spec.jobs,
+                chunk_points: spec.chunk_points,
+                cache: &spec.cache,
+                fresh_limit: None,
+                fs: &spec.fs,
+                sync: spec.sync,
+                retry: RetryPolicy::default(),
             },
-        )?;
-        if let Some(e) = io_error {
-            return Err(MultiNodeSweepError::Cache(e));
-        }
-        for (key, result) in chunk_results.into_iter().flatten() {
-            self.memo.insert(key, result?);
-        }
-
-        // Merge in grid order: the only order the frontier ever sees.
-        let mut records = Vec::with_capacity(keys.len());
-        for key in &keys {
-            let Some(record) = self.memo.get(key) else {
-                return Err(MultiNodeSweepError::MissingRecord { key: *key });
-            };
-            records.push(record.clone());
-        }
-        let frontier = frontier_indices(&records, RecoveryRecord::dominates);
-
-        Ok(RecoverySweepOutcome {
-            records,
-            frontier,
-            cache_hits,
-            fresh_evals,
-            total_points: points.len(),
-        })
+            h.finish(),
+            &spec.space.points(),
+            |&point| evaluate_recovery(point, spec),
+            RecoveryRecord::dominates,
+        )
     }
+}
+
+/// Evaluates one recovery grid point.
+fn evaluate_recovery(
+    point: RecoveryPoint,
+    spec: &RecoverySweepSpec,
+) -> Result<RecoveryRecord, FabricError> {
+    let graph = FabricGraph::build(spec.kind, point.nodes)?;
+    let est = estimate(&graph, &spec.scaleout, &BTreeMap::new())?;
+    let interval_hours = spec.recovery.optimal_interval_hours(point.nodes)
+        * f64::from(point.interval_scale_pct)
+        / 100.0;
+    let analytic = spec
+        .recovery
+        .analytic_efficiency_at(point.nodes, interval_hours);
+    let simulated = spec
+        .recovery
+        .simulated_efficiency_at(point.nodes, interval_hours, spec.seed);
+    Ok(RecoveryRecord {
+        point,
+        interval_hours,
+        analytic,
+        simulated,
+        recovered_exaflops: est.exaflops * simulated,
+    })
 }
 
 #[cfg(test)]
@@ -927,10 +677,7 @@ mod tests {
             },
             ScaleOutSpec::standard("CoMD"),
         );
-        assert!(matches!(
-            engine.run(&empty),
-            Err(MultiNodeSweepError::EmptySpace)
-        ));
+        assert!(matches!(engine.run(&empty), Err(SweepError::EmptySpace)));
     }
 
     #[test]
@@ -940,10 +687,7 @@ mod tests {
             MultiNodeSpace::cabinet(),
             ScaleOutSpec::standard("NoSuchKernel"),
         );
-        assert!(matches!(
-            engine.run(&bad),
-            Err(MultiNodeSweepError::Fabric(_))
-        ));
+        assert!(matches!(engine.run(&bad), Err(SweepError::Eval(_))));
     }
 
     fn recovery_spec() -> RecoverySweepSpec {
@@ -1068,9 +812,109 @@ mod tests {
             },
             ..recovery_spec()
         };
-        assert!(matches!(
-            engine.run(&empty),
-            Err(MultiNodeSweepError::EmptySpace)
-        ));
+        assert!(matches!(engine.run(&empty), Err(SweepError::EmptySpace)));
+    }
+
+    /// Panics the first time each point is evaluated, then lets it pass.
+    fn panic_once_per_point() -> Failpoint {
+        let seen = std::sync::Mutex::new(std::collections::BTreeSet::new());
+        Arc::new(move |key| {
+            let first = seen
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .insert(key);
+            if first {
+                std::panic::panic_any(format!("transient kill at {key:#018x}"));
+            }
+        })
+    }
+
+    #[test]
+    fn fabric_sweeps_retry_panicking_chunks_to_the_oracle() {
+        // Every point of a chunk panics once, in turn, so a chunk of two
+        // needs two retries: inside the default budget of three.
+        let mn = MultiNodeSweep::new().run(&spec()).unwrap();
+        let rc = RecoverySweep::new().run(&recovery_spec()).unwrap();
+        for jobs in [1usize, 2, 4] {
+            let got = MultiNodeSweep::new()
+                .with_failpoint(panic_once_per_point())
+                .run(&MultiNodeSweepSpec {
+                    jobs,
+                    chunk_points: 2,
+                    ..spec()
+                })
+                .unwrap();
+            assert!(got.quarantine.is_empty(), "jobs = {jobs}");
+            assert_eq!(got.records, mn.records, "jobs = {jobs}");
+            assert_eq!(got.frontier, mn.frontier, "jobs = {jobs}");
+
+            let got = RecoverySweep::new()
+                .with_failpoint(panic_once_per_point())
+                .run(&RecoverySweepSpec {
+                    jobs,
+                    chunk_points: 2,
+                    ..recovery_spec()
+                })
+                .unwrap();
+            assert!(got.quarantine.is_empty(), "jobs = {jobs}");
+            assert_eq!(got.records, rc.records, "jobs = {jobs}");
+            assert_eq!(got.frontier, rc.frontier, "jobs = {jobs}");
+        }
+    }
+
+    #[test]
+    fn a_persistently_panicking_fabric_point_is_quarantined_not_lost() {
+        let dir = std::env::temp_dir().join("ena-fabric-sweep-test-quarantine");
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk_spec = MultiNodeSweepSpec {
+            jobs: 2,
+            cache: CacheMode::Disk(dir.clone()),
+            ..spec()
+        };
+        let campaign = digest(&disk_spec.scaleout);
+        let victim = point_key(
+            campaign,
+            &MultiNodePoint {
+                nodes: 16,
+                kind: FabricKind::DragonflyLite,
+            },
+        );
+        let outcome = MultiNodeSweep::new()
+            .with_failpoint(Arc::new(move |key| {
+                if key == victim {
+                    std::panic::panic_any(format!("persistent kill at {key:#018x}"));
+                }
+            }))
+            .run(&disk_spec)
+            .unwrap();
+
+        let entries = &outcome.quarantine.entries;
+        assert_eq!(entries.len(), 1, "{}", outcome.quarantine.render());
+        let lost = &entries[0].keys;
+        assert!(lost.contains(&victim));
+        assert_eq!(outcome.records.len(), 18 - lost.len());
+        assert_eq!(outcome.fresh_evals, 18 - lost.len());
+        let oracle = MultiNodeSweep::new().run(&spec()).unwrap();
+        let survivors: Vec<MultiNodeRecord> = oracle
+            .records
+            .into_iter()
+            .filter(|r| !lost.contains(&point_key(campaign, &r.point)))
+            .collect();
+        assert_eq!(outcome.records, survivors);
+        assert_eq!(
+            outcome.frontier,
+            frontier_indices(&survivors, MultiNodeRecord::dominates)
+        );
+
+        // Quarantined points were never checkpointed.
+        let (_, on_disk) = ena_sweep::DiskCache::<MultiNodeRecord>::open(
+            &dir,
+            campaign,
+            ena_model::hash::MODEL_VERSION,
+        )
+        .unwrap();
+        assert_eq!(on_disk.len(), survivors.len());
+        assert!(on_disk.iter().all(|(key, _)| !lost.contains(key)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,13 @@
 //! The sweep engine: memoized, parallel, resumable design-space
 //! exploration that is byte-identical to the sequential oracle.
 //!
+//! [`Memo::run`] is the one campaign driver: it opens the campaign's
+//! disk cache, keys the points, evaluates the fresh ones on the
+//! supervised pool, checkpoints each chunk as it lands, and merges the
+//! records in grid order. [`SweepEngine`] is its node-level caller; the
+//! fabric sweeps in `ena-fabric` are the others. Each caller supplies its
+//! points, campaign digest, key function and kernel, then reduces.
+//!
 //! Determinism argument, in three parts:
 //!
 //! 1. **Same kernel.** Every point is evaluated by
@@ -9,9 +16,8 @@
 //!    deterministic, so a point's record does not depend on *when*,
 //!    *where*, or *how often* it is computed.
 //! 2. **Order-independent merge.** Workers return chunks tagged with
-//!    their index; the engine reassembles records in design-space point
-//!    order before reducing. Scheduling order never reaches the
-//!    reduction.
+//!    their index; the driver reassembles records in grid order before
+//!    the caller reduces. Scheduling order never reaches the reduction.
 //! 3. **Bit-exact memoization.** Cached records store `f64`s by bit
 //!    pattern (in memory and on disk), so a cache hit replays the very
 //!    bits a fresh evaluation would produce.
@@ -20,6 +26,7 @@
 //! count, cache temperature, or interruption history.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,7 +37,7 @@ use ena_model::hash::{StableHash, StableHasher, MODEL_VERSION};
 use ena_model::kernel::KernelProfile;
 use ena_testkit::chaos::{RealFs, Vfs};
 
-use crate::cache::{CacheError, DiskCache, SyncPolicy};
+use crate::cache::{CacheError, CacheRecord, DiskCache, SyncPolicy};
 use crate::pareto::{pareto_frontier, FrontierPoint};
 use crate::pool::{map_chunks_supervised, PoolError, RetryPolicy, WorkerStats};
 
@@ -156,14 +163,11 @@ impl Telemetry {
         }
     }
 
-    /// Overall points per second (cached and fresh).
-    pub fn points_per_sec(&self) -> f64 {
+    /// Overall points per second (cached and fresh), or `None` when no
+    /// time was measured (every build without the `timing` feature).
+    pub fn points_per_sec(&self) -> Option<f64> {
         let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.total_points as f64 / secs
-        }
+        (secs > 0.0).then(|| self.total_points as f64 / secs)
     }
 }
 
@@ -247,9 +251,11 @@ pub struct SweepOutcome {
     pub telemetry: Telemetry,
 }
 
-/// Sweep failure modes.
+/// Sweep failure modes, shared by every campaign kind. `E` is the
+/// kind's per-point evaluation error; the node sweep's kernel cannot
+/// fail, so its default is [`Infallible`].
 #[derive(Debug)]
-pub enum SweepError {
+pub enum SweepError<E = Infallible> {
     /// The design space has no points.
     EmptySpace,
     /// No application profiles were supplied.
@@ -261,6 +267,8 @@ pub enum SweepError {
         /// Fresh points the full campaign still needs.
         remaining: usize,
     },
+    /// The first point, in grid order, that failed to evaluate.
+    Eval(E),
     /// The persistent cache failed.
     Cache(CacheError),
     /// The worker pool lost chunks before completing the sweep.
@@ -275,7 +283,7 @@ pub enum SweepError {
     },
 }
 
-impl std::fmt::Display for SweepError {
+impl<E: std::fmt::Display> std::fmt::Display for SweepError<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::EmptySpace => write!(f, "empty design space"),
@@ -287,6 +295,7 @@ impl std::fmt::Display for SweepError {
                 f,
                 "sweep interrupted after {completed} fresh evaluations ({remaining} remaining, checkpointed)"
             ),
+            Self::Eval(e) => write!(f, "sweep point: {e}"),
             Self::Cache(e) => write!(f, "sweep cache: {e}"),
             Self::Pool(e) => write!(f, "sweep pool: {e}"),
             Self::Dse(e) => write!(f, "sweep reduction: {e}"),
@@ -297,9 +306,10 @@ impl std::fmt::Display for SweepError {
     }
 }
 
-impl std::error::Error for SweepError {
+impl<E: std::error::Error + 'static> std::error::Error for SweepError<E> {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            Self::Eval(e) => Some(e),
             Self::Cache(e) => Some(e),
             Self::Pool(e) => Some(e),
             Self::Dse(e) => Some(e),
@@ -308,19 +318,19 @@ impl std::error::Error for SweepError {
     }
 }
 
-impl From<CacheError> for SweepError {
+impl<E> From<CacheError> for SweepError<E> {
     fn from(e: CacheError) -> Self {
         Self::Cache(e)
     }
 }
 
-impl From<PoolError> for SweepError {
+impl<E> From<PoolError> for SweepError<E> {
     fn from(e: PoolError) -> Self {
         Self::Pool(e)
     }
 }
 
-impl From<DseError> for SweepError {
+impl<E> From<DseError> for SweepError<E> {
     fn from(e: DseError) -> Self {
         Self::Dse(e)
     }
@@ -377,37 +387,77 @@ pub fn evaluate_batch(
         .collect()
 }
 
-/// The memoizing sweep engine.
-pub struct SweepEngine {
-    explorer: Explorer,
+/// How one memoized run executes: the knobs every campaign spec
+/// carries, borrowed from it.
+#[derive(Clone, Copy, Debug)]
+pub struct RunSpec<'a> {
+    /// Worker thread count (clamped to at least 1).
+    pub jobs: usize,
+    /// Points per work-stealing chunk (clamped to at least 1).
+    pub chunk_points: usize,
+    /// Memoization layer.
+    pub cache: &'a CacheMode,
+    /// Evaluate at most this many fresh points, then stop with
+    /// [`SweepError::Interrupted`]; `None` runs to completion.
+    pub fresh_limit: Option<usize>,
+    /// Filesystem the disk cache talks through.
+    pub fs: &'a Arc<dyn Vfs>,
+    /// Durability policy for cache appends.
+    pub sync: SyncPolicy,
+    /// Retry budget for panicking chunks before they are quarantined.
+    pub retry: RetryPolicy,
+}
+
+/// What one memoized run produced, before the campaign's own reduction.
+#[derive(Clone, Debug)]
+pub struct MemoRun<R> {
+    /// Every record, in grid order. Quarantined points are absent (and
+    /// listed in `quarantine`).
+    pub records: Vec<R>,
+    /// Chunks the supervisor quarantined after exhausting retries.
+    pub quarantine: QuarantineReport,
+    /// Points answered from the memoization cache.
+    pub cache_hits: usize,
+    /// Points evaluated fresh this run.
+    pub fresh_evals: usize,
+    /// Chunks handed to the pool.
+    pub chunks: usize,
+    /// Per-worker execution counters.
+    pub workers: Vec<WorkerStats>,
+}
+
+/// The memoized campaign driver every sweep kind runs through: the
+/// records evaluated or loaded so far, keyed by content address, plus
+/// the model-version stamp its cache files are checked against and an
+/// optional [`Failpoint`].
+pub struct Memo<R> {
     version: String,
-    memo: BTreeMap<u64, PointRecord>,
+    records: BTreeMap<u64, R>,
     failpoint: Option<Failpoint>,
 }
 
-impl std::fmt::Debug for SweepEngine {
+impl<R> Default for Memo<R> {
+    /// An empty memo stamped with the current [`MODEL_VERSION`].
+    fn default() -> Self {
+        Self {
+            version: MODEL_VERSION.to_string(),
+            records: BTreeMap::new(),
+            failpoint: None,
+        }
+    }
+}
+
+impl<R> std::fmt::Debug for Memo<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepEngine")
-            .field("explorer", &self.explorer)
+        f.debug_struct("Memo")
             .field("version", &self.version)
-            .field("memo_entries", &self.memo.len())
+            .field("entries", &self.records.len())
             .field("failpoint", &self.failpoint.is_some())
             .finish()
     }
 }
 
-impl SweepEngine {
-    /// An engine evaluating through `explorer`, stamped with the current
-    /// [`MODEL_VERSION`].
-    pub fn new(explorer: Explorer) -> Self {
-        Self {
-            explorer,
-            version: MODEL_VERSION.to_string(),
-            memo: BTreeMap::new(),
-            failpoint: None,
-        }
-    }
-
+impl<R: CacheRecord + Send> Memo<R> {
     /// Installs a [`Failpoint`] invoked before every fresh evaluation
     /// (chaos/test hook; production engines leave it unset).
     pub fn with_failpoint(mut self, failpoint: Failpoint) -> Self {
@@ -419,7 +469,185 @@ impl SweepEngine {
     /// path; production code keeps the default).
     pub fn with_version(mut self, version: impl Into<String>) -> Self {
         self.version = version.into();
-        self.memo.clear();
+        self.records.clear();
+        self
+    }
+
+    /// Runs one memoized campaign over `points`: loads the disk cache of
+    /// `campaign`, keys every point with `key`, evaluates the points not
+    /// yet memoized on the supervised work-stealing pool (checkpointing
+    /// each chunk as it lands), and merges the records in grid order.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::EmptySpace`] for no points,
+    /// [`SweepError::Interrupted`] when `fresh_limit` stops the run early
+    /// (already-evaluated points are checkpointed), [`SweepError::Eval`]
+    /// for the first point that failed to evaluate, and
+    /// [`SweepError::Cache`] / [`SweepError::Pool`] /
+    /// [`SweepError::MissingRecord`] on infrastructure failures.
+    pub fn run<P, E>(
+        &mut self,
+        spec: &RunSpec<'_>,
+        campaign: u64,
+        points: &[P],
+        key: impl Fn(u64, &P) -> u64,
+        evaluate: impl Fn(&P) -> Result<R, E> + Sync,
+    ) -> Result<MemoRun<R>, SweepError<E>>
+    where
+        P: Clone + Send,
+        E: Send,
+    {
+        if points.is_empty() {
+            return Err(SweepError::EmptySpace);
+        }
+        let mut disk = match spec.cache {
+            CacheMode::Memory => None,
+            CacheMode::Disk(dir) => {
+                let (cache, entries) =
+                    DiskCache::open_with(spec.fs.clone(), spec.sync, dir, campaign, &self.version)?;
+                self.records.extend(entries);
+                Some(cache)
+            }
+        };
+
+        let keys: Vec<u64> = points.iter().map(|p| key(campaign, p)).collect();
+        let fresh: Vec<(u64, P)> = keys
+            .iter()
+            .zip(points)
+            .filter(|(key, _)| !self.records.contains_key(*key))
+            .map(|(key, point)| (*key, point.clone()))
+            .collect();
+        let scheduled = &fresh[..fresh.len().min(spec.fresh_limit.unwrap_or(fresh.len()))];
+        let chunk_points = spec.chunk_points.max(1);
+        let chunks: Vec<Vec<(u64, P)>> = scheduled
+            .chunks(chunk_points)
+            .map(<[(u64, P)]>::to_vec)
+            .collect();
+        let n_chunks = chunks.len();
+
+        let failpoint = &self.failpoint;
+        let mut io_error: Option<CacheError> = None;
+        let (verdicts, workers) = map_chunks_supervised(
+            spec.jobs,
+            chunks,
+            &spec.retry,
+            |(key, point)| {
+                if let Some(fp) = failpoint {
+                    fp(*key);
+                }
+                (*key, evaluate(point))
+            },
+            |_, results: &[(u64, Result<R, E>)]| {
+                // Checkpoint every fresh record as it lands; an error here
+                // aborts the run after the pool drains.
+                if let (Some(cache), None) = (disk.as_mut(), &io_error) {
+                    for (key, record) in results {
+                        let Ok(record) = record else { continue };
+                        if let Err(e) = cache.append(*key, record) {
+                            io_error = Some(e);
+                            break;
+                        }
+                    }
+                }
+            },
+        )?;
+        if let Some(e) = io_error {
+            return Err(SweepError::Cache(e));
+        }
+
+        // Verdicts come back in chunk order, which is grid order over
+        // the fresh points; so is the first evaluation error kept here.
+        let mut quarantine = QuarantineReport::default();
+        let mut eval_error = None;
+        for (verdict, chunk) in verdicts.into_iter().zip(scheduled.chunks(chunk_points)) {
+            match verdict {
+                Ok(results) => {
+                    for (key, result) in results {
+                        match result {
+                            Ok(record) => {
+                                self.records.insert(key, record);
+                            }
+                            Err(e) => {
+                                eval_error.get_or_insert(e);
+                            }
+                        }
+                    }
+                }
+                Err(q) => quarantine.entries.push(QuarantineEntry {
+                    chunk_index: q.index,
+                    keys: chunk.iter().map(|(key, _)| *key).collect(),
+                    attempts: q.attempts,
+                    message: q.message,
+                    backoff_us: q.backoff_us,
+                }),
+            }
+        }
+        if let Some(e) = eval_error {
+            return Err(SweepError::Eval(e));
+        }
+        if scheduled.len() < fresh.len() {
+            return Err(SweepError::Interrupted {
+                completed: scheduled.len(),
+                remaining: fresh.len() - scheduled.len(),
+            });
+        }
+
+        // Merge in grid order: the only order a reduction ever sees.
+        // Quarantined points are excluded (and accounted for in the
+        // report); any *other* missing record is an invariant violation.
+        let quarantined: BTreeSet<u64> = quarantine
+            .entries
+            .iter()
+            .flat_map(|e| e.keys.iter().copied())
+            .collect();
+        let mut records = Vec::with_capacity(keys.len());
+        for key in keys {
+            match self.records.get(&key) {
+                Some(record) => records.push(record.clone()),
+                None if quarantined.contains(&key) => {}
+                None => return Err(SweepError::MissingRecord { key }),
+            }
+        }
+        Ok(MemoRun {
+            records,
+            cache_hits: points.len() - fresh.len(),
+            fresh_evals: scheduled.len() - quarantine.points(),
+            quarantine,
+            chunks: n_chunks,
+            workers,
+        })
+    }
+}
+
+/// The memoizing sweep engine.
+#[derive(Debug)]
+pub struct SweepEngine {
+    explorer: Explorer,
+    memo: Memo<PointRecord>,
+}
+
+impl SweepEngine {
+    /// An engine evaluating through `explorer`, stamped with the current
+    /// [`MODEL_VERSION`].
+    pub fn new(explorer: Explorer) -> Self {
+        Self {
+            explorer,
+            memo: Memo::default(),
+        }
+    }
+
+    /// Installs a [`Failpoint`] invoked before every fresh evaluation
+    /// (chaos/test hook; production engines leave it unset).
+    pub fn with_failpoint(mut self, failpoint: Failpoint) -> Self {
+        self.memo = self.memo.with_failpoint(failpoint);
+        self
+    }
+
+    /// Overrides the model-version stamp (test hook for the eviction
+    /// path; production code keeps the default).
+    pub fn with_version(mut self, version: impl Into<String>) -> Self {
+        self.memo = self.memo.with_version(version);
         self
     }
 
@@ -434,16 +662,14 @@ impl SweepEngine {
         campaign_digest(&self.explorer, profiles)
     }
 
-    /// Runs one sweep: resolves cache hits, evaluates the remainder on
-    /// the work-stealing pool, merges in point order, and reduces.
+    /// Runs one sweep through the [`Memo`] driver, then reduces the
+    /// merged records (oracle bests and Pareto frontier).
     ///
     /// # Errors
     ///
-    /// [`SweepError::Interrupted`] when `fresh_limit` stops the run early
-    /// (already-evaluated points are checkpointed),
-    /// [`SweepError::Cache`] / [`SweepError::Pool`] on infrastructure
-    /// failures, [`SweepError::Dse`] when the reduction fails (e.g. no
-    /// feasible point under the budget), and the empty-input variants.
+    /// The driver's errors (see [`Memo::run`]),
+    /// [`SweepError::EmptyProfiles`], and [`SweepError::Dse`] when the
+    /// reduction fails (e.g. no feasible point under the budget).
     pub fn run(&mut self, spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
         let started = clock::RunClock::start();
         if spec.space.is_empty() {
@@ -452,141 +678,41 @@ impl SweepEngine {
         if spec.profiles.is_empty() {
             return Err(SweepError::EmptyProfiles);
         }
-
-        let campaign = self.campaign_digest(&spec.profiles);
-        let mut disk = match &spec.cache {
-            CacheMode::Memory => None,
-            CacheMode::Disk(dir) => {
-                let (cache, entries) =
-                    DiskCache::open_with(spec.fs.clone(), spec.sync, dir, campaign, &self.version)?;
-                for (key, record) in entries {
-                    self.memo.insert(key, record);
-                }
-                Some(cache)
-            }
+        let run = RunSpec {
+            jobs: spec.jobs,
+            chunk_points: spec.chunk_points,
+            cache: &spec.cache,
+            fresh_limit: spec.fresh_limit,
+            fs: &spec.fs,
+            sync: spec.sync,
+            retry: spec.retry,
         };
-
-        let points = spec.space.points();
-        let keys: Vec<u64> = points.iter().map(|p| point_key(campaign, p)).collect();
-
-        let fresh: Vec<(u64, ena_core::dse::ConfigPoint)> = keys
-            .iter()
-            .zip(&points)
-            .filter(|(key, _)| !self.memo.contains_key(*key))
-            .map(|(key, point)| (*key, *point))
-            .collect();
-        let cache_hits = points.len() - fresh.len();
-        let fresh_total = fresh.len();
-        let scheduled = fresh_total.min(spec.fresh_limit.unwrap_or(fresh_total));
-        let interrupted = scheduled < fresh_total;
-
-        let chunk_points = spec.chunk_points.max(1);
-        let mut chunks: Vec<Vec<(u64, ena_core::dse::ConfigPoint)>> = Vec::new();
-        for slice in fresh[..scheduled].chunks(chunk_points) {
-            chunks.push(slice.to_vec());
-        }
-        let n_chunks = chunks.len();
-
-        // Keys per chunk, kept for quarantine reporting (the chunks
-        // themselves move into the pool).
-        let chunk_keys: Vec<Vec<u64>> = chunks
-            .iter()
-            .map(|c| c.iter().map(|(k, _)| *k).collect())
-            .collect();
-
         let explorer = &self.explorer;
-        let profiles = &spec.profiles;
-        let failpoint = self.failpoint.clone();
-        let mut io_error: Option<CacheError> = None;
-        let (chunk_results, workers) = map_chunks_supervised(
-            spec.jobs,
-            chunks,
-            &spec.retry,
-            |(key, point)| {
-                if let Some(fp) = &failpoint {
-                    fp(*key);
-                }
-                (*key, explorer.evaluate_point(*point, profiles))
-            },
-            |_, results: &[(u64, PointRecord)]| {
-                // Checkpoint every fresh record as it lands; an error here
-                // aborts the run after the pool drains.
-                if let Some(cache) = disk.as_mut() {
-                    if io_error.is_none() {
-                        for (key, record) in results {
-                            if let Err(e) = cache.append(*key, record) {
-                                io_error = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            },
+        let points = spec.space.points();
+        let memo = self.memo.run(
+            &run,
+            campaign_digest(explorer, &spec.profiles),
+            &points,
+            point_key,
+            |point| Ok::<_, Infallible>(explorer.evaluate_point(*point, &spec.profiles)),
         )?;
-        if let Some(e) = io_error {
-            return Err(SweepError::Cache(e));
-        }
 
-        let mut quarantine = QuarantineReport::default();
-        for verdict in chunk_results {
-            match verdict {
-                Ok(results) => {
-                    for (key, record) in results {
-                        self.memo.insert(key, record);
-                    }
-                }
-                Err(q) => quarantine.entries.push(QuarantineEntry {
-                    chunk_index: q.index,
-                    keys: chunk_keys[q.index].clone(),
-                    attempts: q.attempts,
-                    message: q.message,
-                    backoff_us: q.backoff_us,
-                }),
-            }
-        }
-        quarantine.entries.sort_by_key(|e| e.chunk_index);
-        let quarantined_keys: BTreeSet<u64> = quarantine
-            .entries
-            .iter()
-            .flat_map(|e| e.keys.iter().copied())
-            .collect();
-
-        if interrupted {
-            return Err(SweepError::Interrupted {
-                completed: scheduled,
-                remaining: fresh_total - scheduled,
-            });
-        }
-
-        // Merge in design-space point order: the only order the
-        // reduction ever sees. Quarantined points are excluded (and
-        // accounted for in the report); any *other* missing record is an
-        // engine-internal invariant violation.
-        let mut records = Vec::with_capacity(keys.len());
-        for key in &keys {
-            match self.memo.get(key) {
-                Some(record) => records.push(record.clone()),
-                None if quarantined_keys.contains(key) => {}
-                None => return Err(SweepError::MissingRecord { key: *key }),
-            }
-        }
-
-        let result = self.explorer.reduce(&records, &spec.profiles)?;
-        let frontier = pareto_frontier(&self.explorer, &records, spec.profiles.len());
+        let result = explorer.reduce(&memo.records, &spec.profiles)?;
+        let frontier = pareto_frontier(explorer, &memo.records, spec.profiles.len());
         let telemetry = Telemetry {
             total_points: points.len(),
-            cache_hits,
-            fresh_evals: scheduled - quarantine.points(),
-            chunks: n_chunks,
+            cache_hits: memo.cache_hits,
+            fresh_evals: memo.fresh_evals,
+            chunks: memo.chunks,
             jobs: spec.jobs.max(1),
             elapsed: started.elapsed(),
-            workers,
+            workers: memo.workers,
         };
         Ok(SweepOutcome {
             result,
             frontier,
-            records,
-            quarantine,
+            records: memo.records,
+            quarantine: memo.quarantine,
             telemetry,
         })
     }
@@ -626,6 +752,11 @@ mod tests {
             workers: vec![],
         };
         assert!((t.hit_rate() - 0.9).abs() < 1e-12);
-        assert!((t.points_per_sec() - 200.0).abs() < 1e-9);
+        assert_eq!(t.points_per_sec(), Some(200.0));
+        let unmeasured = Telemetry {
+            elapsed: Duration::ZERO,
+            ..t
+        };
+        assert_eq!(unmeasured.points_per_sec(), None);
     }
 }

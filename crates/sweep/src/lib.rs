@@ -15,8 +15,12 @@
 //!   [`Vfs`](ena_testkit::chaos::Vfs) filesystem trait.
 //! - [`pareto`] — frontier extraction over (mean perf, peak power, peak
 //!   DRAM temperature).
-//! - [`engine`] — the [`SweepEngine`] tying them together, with
-//!   [`Telemetry`] (cache hit rate, points/sec, per-worker utilization).
+//! - [`engine`] — the [`Memo`] campaign driver tying them together
+//!   (cache open, point keys, fresh filter, supervised pool, per-chunk
+//!   checkpoint, grid-order merge) for every sweep kind, and the
+//!   node-level [`SweepEngine`] on top of it, with [`Telemetry`] (cache
+//!   hit rate, per-worker utilization, points/sec under `timing`). The
+//!   fabric sweeps in `ena-fabric` are the driver's other callers.
 //! - [`chaos`] — seeded chaos campaigns that drive the whole stack
 //!   through injected I/O faults and worker kills and assert the
 //!   serving invariants (parseable caches, no lost acknowledged
@@ -67,10 +71,11 @@ pub use cache::{
 };
 pub use chaos::{run_chaos_campaign, ChaosError, ChaosReport, ChaosSpec};
 pub use engine::{
-    campaign_digest, evaluate_batch, point_key, CacheMode, Failpoint, QuarantineEntry,
-    QuarantineReport, SweepEngine, SweepError, SweepOutcome, SweepSpec, Telemetry,
+    campaign_digest, evaluate_batch, point_key, CacheMode, Failpoint, Memo, MemoRun,
+    QuarantineEntry, QuarantineReport, RunSpec, SweepEngine, SweepError, SweepOutcome, SweepSpec,
+    Telemetry,
 };
 pub use pareto::{frontier_indices, pareto_frontier, FrontierPoint};
-pub use pool::{map_chunks, map_chunks_supervised, QuarantinedChunk, RetryPolicy, WorkerStats};
+pub use pool::{map_chunks_supervised, QuarantinedChunk, RetryPolicy, WorkerStats};
 
 pub use ena_testkit::chaos::{ChaosConfig, ChaosFs, RealFs, Vfs};

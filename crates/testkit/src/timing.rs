@@ -9,8 +9,19 @@
 //!
 //! Environment knobs: `ENA_BENCH_SAMPLES` (default 20) and
 //! `ENA_BENCH_SAMPLE_MS` (default 20 ms per sample).
+//!
+//! [`Harness::record_guarded`] writes a group's medians to
+//! `artifacts/BENCH_<group>.json` and fails the bench when one is more
+//! than [`GUARD_FACTOR`]x the previous run's; `ENA_BENCH_NO_GUARD=1`
+//! bypasses the guard, e.g. when changing machines.
 
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+
+use crate::golden::artifacts_dir;
+
+/// Tolerated median slowdown versus the previous recorded run.
+pub const GUARD_FACTOR: f64 = 4.0;
 
 /// Measurement of one benchmark: nanoseconds per iteration across samples.
 #[derive(Clone, Debug)]
@@ -154,6 +165,86 @@ impl Harness {
     pub fn results(&self) -> &[Measurement] {
         &self.results
     }
+
+    /// Writes `results` to `artifacts/BENCH_<group>.json`, then guards
+    /// each median against the file a previous run left there: every
+    /// median more than [`GUARD_FACTOR`]x its recorded value is reported,
+    /// and the process exits with status 1. Setting `ENA_BENCH_NO_GUARD`
+    /// skips the guard.
+    pub fn record_guarded(&self, results: &[&Measurement]) {
+        let path = artifacts_dir().join(format!("BENCH_{}.json", self.group));
+        let previous = std::fs::read_to_string(&path)
+            .map(|t| previous_medians(&t))
+            .unwrap_or_default();
+        std::fs::write(&path, to_json(&self.group, self.samples, results))
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("wrote {}", path.display());
+
+        if std::env::var_os("ENA_BENCH_NO_GUARD").is_some() {
+            return;
+        }
+        let mut regressed = false;
+        for m in results {
+            if let Some((_, old)) = previous.iter().find(|(l, _)| *l == m.label) {
+                let ratio = m.median_ns() / old.max(1e-9);
+                if ratio > GUARD_FACTOR {
+                    eprintln!(
+                        "REGRESSION: {} median {:.0} ns is {ratio:.1}x the recorded {:.0} ns",
+                        m.label,
+                        m.median_ns(),
+                        old
+                    );
+                    regressed = true;
+                }
+            }
+        }
+        if regressed {
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Renders a bench group as the `BENCH_<group>.json` document.
+fn to_json(group: &str, samples: usize, results: &[&Measurement]) -> String {
+    let mut out = format!("{{\n  \"group\": \"{group}\",\n");
+    let _ = writeln!(out, "  \"samples\": {samples},");
+    out.push_str("  \"benches\": [\n");
+    for (i, m) in results.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"label\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"mean_ns\": {:.1}}}",
+            m.label,
+            m.median_ns(),
+            m.min_ns(),
+            m.mean_ns()
+        );
+        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// Pulls `"label": ..., "median_ns": <value>` pairs out of a previous
+/// run's JSON without a parser dependency.
+fn previous_medians(text: &str) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    for chunk in text.split("\"label\": \"").skip(1) {
+        let Some(label_end) = chunk.find('"') else {
+            continue;
+        };
+        let Some(at) = chunk.find("\"median_ns\": ") else {
+            continue;
+        };
+        let rest = &chunk[at + "\"median_ns\": ".len()..];
+        let value: String = rest
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || *c == '.')
+            .collect();
+        if let Ok(v) = value.parse::<f64>() {
+            out.push((chunk[..label_end].to_string(), v));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -170,6 +261,22 @@ mod tests {
         assert!(m.min_ns() <= m.median_ns());
         assert!(m.median_ns() <= *m.ns_per_iter.last().unwrap());
         assert_eq!(m.ns_per_iter.len(), 3);
+    }
+
+    #[test]
+    fn recorded_medians_parse_back_by_label() {
+        let m = |label: &str, ns: f64| Measurement {
+            label: label.into(),
+            iters_per_sample: 1,
+            ns_per_iter: vec![ns],
+        };
+        let (a, b) = (m("a", 12.5), m("b", 3000.0));
+        let json = to_json("g", 10, &[&a, &b]);
+        assert!(json.starts_with("{\n  \"group\": \"g\",\n  \"samples\": 10,\n"));
+        assert_eq!(
+            previous_medians(&json),
+            vec![("a".to_string(), 12.5), ("b".to_string(), 3000.0)]
+        );
     }
 
     #[test]

@@ -58,13 +58,17 @@ fn main() {
 
     let t = &outcome.telemetry;
     println!(
-        "\ntelemetry: {} points on {} jobs in {:.0} ms ({:.0} points/sec, {:.0}% cache hits)",
+        "\ntelemetry: {} points on {} jobs ({:.0}% cache hits)",
         t.total_points,
         t.jobs,
-        t.elapsed.as_secs_f64() * 1e3,
-        t.points_per_sec(),
         100.0 * t.hit_rate(),
     );
+    if let Some(rate) = t.points_per_sec() {
+        println!(
+            "throughput: {rate:.0} points/sec in {:.0} ms",
+            t.elapsed.as_secs_f64() * 1e3
+        );
+    }
     for (i, w) in t.workers.iter().enumerate() {
         println!(
             "  worker {i}: {} chunks, {} points, {} steals",
