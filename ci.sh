@@ -64,6 +64,13 @@ if ! diff <(echo "$transient_out") artifacts/transient_campaign.txt; then
   exit 1
 fi
 
+echo "==> validation smoke: the wavefront timing simulation must match the golden report"
+validation_out=$(cargo run --release -p ena-bench --bin figures -- validation)
+if ! diff <(echo "$validation_out") artifacts/validation.txt; then
+  echo "ci.sh: figures validation diverged from artifacts/validation.txt" >&2
+  exit 1
+fi
+
 echo "==> recovery smoke: cold interval sweep, then warm run must hit the cache"
 rm -rf artifacts/recovery-cache
 cargo run --release -p ena-cli --bin ena -- multinode --sweep --jobs 2 --resume --mtbf 96 --checkpoint-cost 3 >/dev/null

@@ -1,6 +1,11 @@
-//! Benchmarks the wavefront timing simulator.
+//! Benchmarks the wavefront timing simulator on validation's CU setup:
+//! LULESH (memory-bound, the scheduling scan) and MaxFlops (compute-bound,
+//! the compute-train step), each over the fixed-latency pipe and the
+//! banked-HBM backend.
 //!
-//! Run with `cargo bench -p ena-bench --features timing`.
+//! Run with `cargo bench -p ena-bench --features timing --bench gpu_timing`.
+//! The measurements land in `artifacts/BENCH_gpu_timing.json`, guarded
+//! against the previous run's by `Harness::record_guarded`.
 
 use ena_gpu::backend::{FixedLatency, HbmBackend};
 use ena_gpu::sim::{CuConfig, GpuSim};
@@ -9,17 +14,24 @@ use ena_testkit::timing::Harness;
 use ena_workloads::profile_for;
 
 fn main() {
-    let profile = profile_for("LULESH").unwrap();
-    let wavefronts = wavefronts_for(&profile, 24, 7);
     let mut h = Harness::new("gpu_timing");
-
-    h.bench("fixed_latency", || {
-        let mut mem = FixedLatency::new(170, 7);
-        std::hint::black_box(GpuSim::new(CuConfig::default(), &mut mem).run(wavefronts.clone()))
-    });
-
-    h.bench("hbm_backend", || {
-        let mut mem = HbmBackend::new(8);
-        std::hint::black_box(GpuSim::new(CuConfig::default(), &mut mem).run(wavefronts.clone()))
-    });
+    let mut results = Vec::new();
+    for app in ["LULESH", "MaxFlops"] {
+        let profile = profile_for(app).unwrap();
+        let wavefronts = wavefronts_for(&profile, 24, 7);
+        let fixed = h
+            .bench(&format!("{app}/fixed_latency"), || {
+                let mut mem = FixedLatency::new(170, 7);
+                GpuSim::new(CuConfig::default(), &mut mem).run(&wavefronts)
+            })
+            .clone();
+        let banked = h
+            .bench(&format!("{app}/hbm_backend"), || {
+                let mut mem = HbmBackend::new(8);
+                GpuSim::new(CuConfig::default(), &mut mem).run(&wavefronts)
+            })
+            .clone();
+        results.extend([fixed, banked]);
+    }
+    h.record_guarded(&results.iter().collect::<Vec<_>>());
 }

@@ -51,7 +51,7 @@ pub fn rows() -> Vec<ValidationRow> {
 
             let wavefronts = wavefronts_for(p, 24, 0xABCD);
             let mut memory = FixedLatency::new(hbm_latency, cycles_per_request);
-            let stats = GpuSim::new(CuConfig::default(), &mut memory).run(wavefronts.clone());
+            let stats = GpuSim::new(CuConfig::default(), &mut memory).run(&wavefronts);
             // One CU peaks at 64 DP FLOPs per cycle.
             let simulated_eff = stats.flops_per_cycle() / 64.0;
 

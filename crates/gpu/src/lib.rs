@@ -11,7 +11,10 @@
 //! - [`program`] — wavefront instruction streams.
 //! - [`backend`] — memory backends: a fixed-latency pipe and the detailed
 //!   banked-HBM backend built on `ena-memory`.
-//! - [`sim`] — the CU scheduler and timing loop.
+//! - [`sim`] — the CU scheduler and its event-driven timing loop, which
+//!   returns the same [`TimingStats`] as a plain per-cycle loop while
+//!   skipping stalled cycles and stepping compute trains two iterations at
+//!   a time.
 //! - [`synth`] — synthesizing wavefront sets from kernel profiles.
 //!
 //! # Example: latency hiding in action
